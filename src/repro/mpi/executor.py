@@ -96,8 +96,6 @@ def run_spmd(
     on_rank_failure: str = "abort",
     tracer: Tracer | None = None,
     backend: str = "thread",
-    shared_memory: bool = True,
-    shm_threshold: int | None = None,
     max_respawns: int = 8,
     n_hosts: int = 2,
     tcp_options: Any | None = None,
@@ -146,13 +144,6 @@ def run_spmd(
         partition-tolerant reconnection.  Rank programs that follow the
         deterministic-RNG contract produce bit-identical results under any
         backend.
-    shared_memory, shm_threshold:
-        Process-backend transport tuning (see
-        :func:`repro.mpi.procexec.run_spmd_process`): ndarray/``bytes``
-        payload leaves of at least ``shm_threshold`` bytes travel through
-        pooled shared-memory segments; ``shared_memory=False`` forces the
-        pickle path.  Ignored under the thread backend, whose network is
-        zero-copy already.
     max_respawns:
         Total replacement budget under ``on_rank_failure="respawn"``
         (process and tcp backends; ignored otherwise).
@@ -169,7 +160,6 @@ def run_spmd(
     """
     if backend == "process":
         from repro.mpi.procexec import run_spmd_process
-        from repro.mpi.shm import DEFAULT_THRESHOLD
 
         return run_spmd_process(
             n_ranks,
@@ -179,8 +169,6 @@ def run_spmd(
             fault_injector=fault_injector,
             on_rank_failure=on_rank_failure,
             tracer=tracer,
-            shared_memory=shared_memory,
-            shm_threshold=DEFAULT_THRESHOLD if shm_threshold is None else shm_threshold,
             max_respawns=max_respawns,
         )
     if backend == "tcp":

@@ -150,6 +150,28 @@ def _replica_digest(matrix: np.ndarray) -> bytes:
     return h.digest()
 
 
+def _eager_slate(config, population, evaluator, streams, owned, gen) -> int:
+    """Play every owned SSet's full opponent slate (the paper's §IV-D workload)."""
+    games_played = 0
+    assign = population.assignment()
+    tables = population.tables_view()
+    for sset in owned:
+        opponents = np.array(
+            [j for j in range(config.n_ssets) if j != sset or config.include_self_play],
+            dtype=np.intp,
+        )
+        ia = np.full(opponents.size, assign[sset], dtype=np.intp)
+        ib = assign[opponents]
+        rng = (
+            streams.fresh("eager", gen, int(sset))
+            if not config.deterministic_games
+            else None
+        )
+        evaluator.engine.play(tables, ia, ib, rng=rng)
+        games_played += opponents.size
+    return games_played
+
+
 def _rank_program(
     comm: Comm,
     config: SimulationConfig,
@@ -175,26 +197,9 @@ def _rank_program(
             # the fitness.  The trajectory is unaffected — PC fitness still
             # comes from the evaluator's deterministic/keyed-stream path.
             with tracer.span("play", rank=comm.rank, args={"gen": gen}):
-                assign = population.assignment()
-                tables = population.tables_view()
-                for sset in owned:
-                    opponents = np.array(
-                        [
-                            j
-                            for j in range(config.n_ssets)
-                            if j != sset or config.include_self_play
-                        ],
-                        dtype=np.intp,
-                    )
-                    ia = np.full(opponents.size, assign[sset], dtype=np.intp)
-                    ib = assign[opponents]
-                    rng = (
-                        streams.fresh("eager", gen, int(sset))
-                        if not config.deterministic_games
-                        else None
-                    )
-                    evaluator.engine.play(tables, ia, ib, rng=rng)
-                    games_played += opponents.size
+                games_played += _eager_slate(
+                    config, population, evaluator, streams, owned, gen
+                )
         # Step 1: generation header down the tree.
         if nature is not None:
             selection = nature.select_pc()
@@ -320,28 +325,6 @@ class _FTOptions:
     membership_plan: tuple[MembershipEvent, ...] = ()
 
 
-def _eager_slate(comm, config, population, evaluator, streams, owned, gen) -> int:
-    """Play every owned SSet's full opponent slate (the paper's §IV-D workload)."""
-    games_played = 0
-    assign = population.assignment()
-    tables = population.tables_view()
-    for sset in owned:
-        opponents = np.array(
-            [j for j in range(config.n_ssets) if j != sset or config.include_self_play],
-            dtype=np.intp,
-        )
-        ia = np.full(opponents.size, assign[sset], dtype=np.intp)
-        ib = assign[opponents]
-        rng = (
-            streams.fresh("eager", gen, int(sset))
-            if not config.deterministic_games
-            else None
-        )
-        evaluator.engine.play(tables, ia, ib, rng=rng)
-        games_played += opponents.size
-    return games_played
-
-
 def _rank_program_ft(comm: Comm, config: SimulationConfig, eager_games: bool, opts: _FTOptions):
     """The fault-tolerant SPMD body executed by every rank."""
     streams = StreamFactory(config.seed)
@@ -465,7 +448,7 @@ def _ft_worker_loop(
                     )
                     owned = np.flatnonzero(owners == comm.rank)
                     games_played += _eager_slate(
-                        comm, config, population, evaluator, streams, owned, gen
+                        config, population, evaluator, streams, owned, gen
                     )
             pi_t = pi_l = None
             if msg.has_pc:
@@ -958,14 +941,6 @@ class ParallelSimulation:
         talking framed loopback TCP (:mod:`repro.mpi.hostexec`) — the
         multi-host substrate with partition-tolerant reconnection; the
         trajectory stays bit-identical.
-    shared_memory, shm_threshold:
-        Process-backend transport tuning: strategy tables (and any other
-        ndarray/``bytes`` payload leaves) of at least ``shm_threshold``
-        bytes travel through pooled shared-memory segments instead of the
-        per-destination frame pickle (:mod:`repro.mpi.shm`);
-        ``shared_memory=False`` is the escape hatch forcing every byte
-        through the pipe.  The trajectory is bit-identical either way.
-        Ignored under the thread backend.
     on_rank_failure:
         ``"continue"`` (default): a dead worker's SSets are redistributed
         to the survivors and stay there — graceful degradation.
@@ -1016,8 +991,6 @@ class ParallelSimulation:
         checkpoint_every: int = 0,
         trace: bool | Tracer = False,
         backend: str = "thread",
-        shared_memory: bool = True,
-        shm_threshold: int | None = None,
         on_rank_failure: str = "continue",
         max_respawns: int = 8,
         n_hosts: int = 2,
@@ -1057,11 +1030,11 @@ class ParallelSimulation:
         self.tcp_options = tcp_options
         self.config = config
         self.backend = backend
-        self.shared_memory = bool(shared_memory)
-        self.shm_threshold = shm_threshold
         self.n_ranks = int(n_ranks)
         self.eager_games = bool(eager_games)
         self.fault_plan = fault_plan
+        if heartbeat_timeout <= 0:
+            raise MPIError(f"heartbeat_timeout must be > 0, got {heartbeat_timeout}")
         self.heartbeat_timeout = float(heartbeat_timeout)
         if fitness_timeout <= 0:
             raise MPIError(f"fitness_timeout must be > 0, got {fitness_timeout}")
@@ -1189,8 +1162,6 @@ class ParallelSimulation:
                 fault_injector=injector,
                 tracer=self.tracer,
                 backend=self.backend,
-                shared_memory=self.shared_memory,
-                shm_threshold=self.shm_threshold,
                 n_hosts=self.n_hosts,
                 tcp_options=self.tcp_options,
             )
@@ -1218,8 +1189,6 @@ class ParallelSimulation:
             on_rank_failure=self.on_rank_failure,
             tracer=self.tracer,
             backend=self.backend,
-            shared_memory=self.shared_memory,
-            shm_threshold=self.shm_threshold,
             max_respawns=self.max_respawns,
             n_hosts=self.n_hosts,
             tcp_options=self.tcp_options,

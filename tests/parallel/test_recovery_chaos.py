@@ -10,7 +10,7 @@ The three recovery layers under *real* damage:
   checkpoint (leaving a torn file); :class:`SupervisedRun` must resume from
   the latest *valid* checkpoint with no manual intervention.
 * **Resume determinism**: interrupted-at-k + resumed equals uninterrupted,
-  under a non-trivial fault plan, across backends and transports.
+  under a non-trivial fault plan, across backends.
 
 Heal latency is wall-clock (drain grace, heartbeat timeouts), while the
 trajectory advances at a few milliseconds per generation — so the respawn
@@ -56,9 +56,9 @@ class TestRespawnHealing:
 
     config = SimulationConfig(n_ssets=8, generations=1500, seed=11)
 
-    def _run(self, plan: FaultPlan):
+    def _run(self, plan: FaultPlan, config: SimulationConfig | None = None):
         return ParallelSimulation(
-            self.config,
+            config or self.config,
             n_ranks=4,
             fault_plan=plan,
             backend="process",
@@ -90,6 +90,18 @@ class TestRespawnHealing:
         assert result.failed_ranks == ()
         assert {e.rank for e in result.recoveries} == {3}
         assert np.array_equal(result.matrix, _serial_matrix(self.config))
+
+    def test_heal_with_a_large_rejoin_matrix(self):
+        # Memory-6 pure tables are 4 KiB per SSet, so the FTRejoin matrix a
+        # replacement receives exceeds 64 KiB: the model's largest message.
+        config = self.config.with_updates(memory=6, n_ssets=20)
+        reference = _serial_matrix(config)
+        assert reference.nbytes > 64 * 1024
+        plan = FaultPlan(seed=5, events=(FaultEvent(kind="crash", rank=2, generation=10),))
+        result = self._run(plan, config)
+        assert result.failed_ranks == ()
+        assert {e.rank for e in result.recoveries} == {2}
+        assert np.array_equal(result.matrix, reference)
 
 
 _KILL_MID_CHECKPOINT_CHILD = """
@@ -148,21 +160,18 @@ class TestKillMidCheckpointWrite:
 
 
 class TestResumeDeterminism:
-    """Interrupted-at-k + resumed == uninterrupted, across backends/transports."""
+    """Interrupted-at-k + resumed == uninterrupted, across backends."""
 
     config = SimulationConfig(n_ssets=8, generations=60, seed=11)
 
     @pytest.mark.parametrize(
-        "backend,shared_memory",
+        "backend",
         [
-            pytest.param("thread", True, id="thread"),
-            pytest.param("process", True, id="process-shm", marks=pytest.mark.procexec),
-            pytest.param("process", False, id="process-pickle", marks=pytest.mark.procexec),
+            pytest.param("thread", id="thread"),
+            pytest.param("process", id="process", marks=pytest.mark.procexec),
         ],
     )
-    def test_interrupted_plus_resumed_matches_uninterrupted(
-        self, backend, shared_memory, tmp_path
-    ):
+    def test_interrupted_plus_resumed_matches_uninterrupted(self, backend, tmp_path):
         # Message chaos (drops/duplicates the reliable layer absorbs) plus a
         # Nature crash at generation 35 to force the interruption.
         plan = FaultPlan(
@@ -180,14 +189,13 @@ class TestResumeDeterminism:
             checkpoint_every=15,
             heartbeat_timeout=3.0,
             backend=backend,
-            shared_memory=shared_memory,
         )
         with pytest.raises(Exception):
             first.run(timeout=300)
         assert load_parallel_checkpoint(latest_valid_parallel_checkpoint(tmp_path)).generation == 30
 
-        resumed = ParallelSimulation.resume(
-            tmp_path, n_ranks=4, backend=backend, shared_memory=shared_memory
-        ).run(timeout=300)
+        resumed = ParallelSimulation.resume(tmp_path, n_ranks=4, backend=backend).run(
+            timeout=300
+        )
         assert resumed.generation == self.config.generations
         assert np.array_equal(resumed.matrix, _serial_matrix(self.config))

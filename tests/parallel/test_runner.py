@@ -120,3 +120,11 @@ class TestValidation:
     def test_fitness_timeout_must_be_positive(self, small_config):
         with pytest.raises(MPIError, match="fitness_timeout"):
             ParallelSimulation(small_config, n_ranks=2, fitness_timeout=0.0)
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0])
+    def test_heartbeat_timeout_must_be_positive(self, small_config, timeout):
+        # A non-positive timeout would declare every worker dead at once.
+        with pytest.raises(MPIError, match="heartbeat_timeout"):
+            ParallelSimulation(
+                small_config, n_ranks=3, fault_tolerant=True, heartbeat_timeout=timeout
+            )
