@@ -1,10 +1,11 @@
 """Run the parallel algorithm on *real* MPI via mpi4py.
 
-The rank program (:func:`repro.parallel.runner._rank_program`) only touches
-a small communicator surface — ``rank``, ``size``, ``send``, ``recv``,
-``bcast``, ``allgather`` — chosen to match mpi4py's lower-case object API
-exactly.  On a cluster with mpi4py installed, the same code that runs on
-the virtual runtime runs on the real network:
+The rank program (:func:`repro.parallel.runner._rank_program`) on its
+collective-tree channel — the one plain ``ParallelSimulation`` runs — only
+touches a small communicator surface — ``rank``, ``size``, ``send``,
+``recv``, ``bcast``, ``allgather`` — chosen to match mpi4py's lower-case
+object API exactly.  On a cluster with mpi4py installed, the same code that
+runs on the virtual runtime runs on the real network:
 
 .. code:: bash
 
@@ -14,7 +15,9 @@ the virtual runtime runs on the real network:
 This module has no hard mpi4py dependency; importing it without mpi4py is
 fine, and :func:`main` raises a clear error.  The offline test suite checks
 interface compatibility (the virtual ``Comm`` satisfies the same protocol
-the rank program needs) rather than launching real MPI.
+the rank program needs, and the program runs on an adapter exposing nothing
+else) rather than launching real MPI.  The fault-tolerant star channel needs
+the virtual runtime's reliable messaging and is not available here.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class CommLike(Protocol):
 
 
 def run_on_comm(comm: CommLike, config: SimulationConfig, eager_games: bool = False) -> dict:
-    """Run the rank program on any conforming communicator.
+    """Run the rank program's tree channel on any conforming communicator.
 
     Returns the rank's output dict; rank 0's contains the final matrix and
     Nature Agent counters (see :mod:`repro.parallel.runner`).

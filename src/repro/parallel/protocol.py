@@ -1,6 +1,8 @@
 """Wire protocol of the parallel runner.
 
-One generation of the paper's algorithm exchanges, in order:
+One generation of the paper's algorithm exchanges, in order (the runner's
+*tree* channel; the *star* channel below carries the same steps over
+reliable point-to-point messages):
 
 1. **Generation header** (Nature -> all, collective tree / ``bcast``): does
    a pairwise comparison fire this generation, and between which SSets.
@@ -50,10 +52,10 @@ __all__ = [
 #: Point-to-point tag for fitness returns to the Nature Agent.
 TAG_FITNESS = 7
 
-#: Reliable-channel tag for Nature -> worker control messages (FT runner).
+#: Reliable-channel tag for Nature -> worker control messages (star channel).
 TAG_CONTROL = 11
 
-#: Reliable-channel tag for worker -> Nature reports (FT runner).
+#: Reliable-channel tag for worker -> Nature reports (star channel).
 TAG_REPORT = 12
 
 #: Plain-channel tag for a respawned worker announcing itself to Nature.
@@ -105,13 +107,15 @@ class MutationUpdate:
 
 # -- fault-tolerant protocol ----------------------------------------------------------
 #
-# The fault-tolerant runner replaces the collective tree with a reliable
+# The runner's star channel replaces the collective tree with a reliable
 # point-to-point star: every generation, Nature sends each live worker an
 # FTHeader, collects one WorkerReport per worker (the heartbeat), and closes
 # the generation with an FTUpdate.  When a worker that owed fitness died
 # mid-generation, Nature re-requests from the new owner with FTFitnessRequest.
 # All of these travel over Comm.send_reliable / recv_reliable, so injected
-# drops, duplicates and corruptions cannot desynchronise the protocol.
+# drops, duplicates and corruptions cannot desynchronise the protocol.  The
+# worker loop is shared with the tree channel, which hands it the same
+# FTHeader/FTUpdate shapes built from its broadcasts.
 
 
 @dataclass(frozen=True)
@@ -286,7 +290,7 @@ class MembershipChange:
 
 @dataclass(frozen=True)
 class DegradationEvent:
-    """One graceful-degradation step recorded by the fault-tolerant runner."""
+    """One graceful-degradation step recorded by the star channel."""
 
     generation: int
     rank: int

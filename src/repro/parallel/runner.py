@@ -3,28 +3,30 @@
 This is the paper's §V implementation, expressed on the virtual runtime:
 
 * rank 0 is the **Nature Agent** — it owns the random decision streams,
-  announces each generation's events down the (modelled) collective tree
-  via ``bcast``, receives fitness returns over point-to-point messages, and
-  broadcasts the resulting strategy updates;
+  announces each generation's events, receives fitness returns from the
+  owning workers, and publishes the resulting strategy updates;
 * ranks 1..P-1 are **workers** — each owns a block of SSets
   (:class:`~repro.parallel.decomposition.SSetDecomposition`), keeps a full
   replica of the global strategy view (the paper's per-node "local view of
   the strategy space"), evaluates the fitness of its own SSets when asked,
-  and applies every broadcast update.
+  and applies every published update.
 
-Because every rank derives its randomness from the same
+One rank program runs one Nature loop and one worker loop over a channel:
+the paper's collective **tree** (:class:`_Tree`), or the fault-tolerant
+reliable **star** (:class:`_Star`); ``ParallelSimulation(fault_tolerant=...)``
+picks it.  Because every rank derives its randomness from the same
 :class:`~repro.rng.StreamFactory` keys as the serial driver, a parallel run
 produces a population trajectory *bit-identical* to
-:class:`~repro.population.dynamics.EvolutionDriver` at any rank count — the
-integration tests assert this, which is the strongest correctness statement
-the reproduction makes.
+:class:`~repro.population.dynamics.EvolutionDriver` at any rank count, on
+either channel — the integration tests assert this, which is the strongest
+correctness statement the reproduction makes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +68,7 @@ from repro.parallel.protocol import (
     RecoveryEvent,
     WorkerReport,
 )
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.population.fitness import FitnessEvaluator
 from repro.population.nature import NatureAgent, PCSelection
 from repro.population.population import Population
@@ -76,13 +78,6 @@ __all__ = ["ParallelSimulation", "ParallelRunResult"]
 
 _TAG_TEACHER = TAG_FITNESS
 _TAG_LEARNER = TAG_FITNESS + 1
-
-#: Default for Nature's wait on a plain-protocol fitness return
-#: (overridable via ``ParallelSimulation(fitness_timeout=...)``).  Failing
-#: fast beats hanging the whole run when the ownership maps diverge, but the
-#: same deadline also bounds a legitimately slow worker — large memory-depth
-#: tables under ``eager_games`` can need more than the default.
-_DEFAULT_FITNESS_TIMEOUT = 120.0
 
 
 @dataclass(frozen=True)
@@ -172,147 +167,9 @@ def _eager_slate(config, population, evaluator, streams, owned, gen) -> int:
     return games_played
 
 
-def _rank_program(
-    comm: Comm,
-    config: SimulationConfig,
-    eager_games: bool,
-    fitness_timeout: float = _DEFAULT_FITNESS_TIMEOUT,
-) -> dict:
-    """The SPMD body executed by every rank."""
-    streams = StreamFactory(config.seed)
-    population = Population.random(config, streams.fresh("init"))
-    decomp = SSetDecomposition(config.n_ssets, comm.size)
-    evaluator = FitnessEvaluator(config, population, streams)
-    nature = NatureAgent(config, streams) if comm.rank == decomp.nature_rank else None
-    owned = decomp.ssets_of_rank(comm.rank)
-    games_played = 0
-    tracer = comm.world.tracer
-
-    for gen in range(1, config.generations + 1):
-        gen_span = tracer.span("generation", rank=comm.rank, args={"gen": gen})
-        gen_span.__enter__()
-        if eager_games and owned.size:
-            # Faithful mode: every generation, every owned SSet plays its
-            # full opponent slate (§IV-D), whether or not a PC will consume
-            # the fitness.  The trajectory is unaffected — PC fitness still
-            # comes from the evaluator's deterministic/keyed-stream path.
-            with tracer.span("play", rank=comm.rank, args={"gen": gen}):
-                games_played += _eager_slate(
-                    config, population, evaluator, streams, owned, gen
-                )
-        # Step 1: generation header down the tree.
-        if nature is not None:
-            selection = nature.select_pc()
-            header = GenerationHeader(
-                generation=gen,
-                pc_teacher=selection.teacher if selection else -1,
-                pc_learner=selection.learner if selection else -1,
-            )
-        else:
-            header = None
-        with tracer.span("header", rank=comm.rank, args={"gen": gen}):
-            header = comm.bcast(header, root=decomp.nature_rank)
-        if header.generation != gen:
-            raise MPIError(f"rank {comm.rank} desynchronised: header {header.generation} != {gen}")
-
-        # Steps 2-3: fitness returns and the adoption decision.
-        if header.has_pc:
-            with tracer.span("pc_step", rank=comm.rank, args={"gen": gen}):
-                teacher, learner = header.pc_teacher, header.pc_learner
-                if comm.rank == decomp.owner_of(teacher):
-                    (pi,) = evaluator.fitness([teacher], generation=gen)
-                    comm.send(float(pi), dest=decomp.nature_rank, tag=_TAG_TEACHER)
-                if comm.rank == decomp.owner_of(learner):
-                    (pi,) = evaluator.fitness([learner], generation=gen)
-                    comm.send(float(pi), dest=decomp.nature_rank, tag=_TAG_LEARNER)
-                if nature is not None:
-                    t_owner = decomp.owner_of(teacher)
-                    l_owner = decomp.owner_of(learner)
-                    try:
-                        pi_t = comm.recv(
-                            source=t_owner, tag=_TAG_TEACHER, timeout=fitness_timeout
-                        )
-                        pi_l = comm.recv(
-                            source=l_owner, tag=_TAG_LEARNER, timeout=fitness_timeout
-                        )
-                    except RecvTimeoutError as exc:
-                        # Either the ownership maps diverged across ranks
-                        # (a worker that believes it owns nothing never
-                        # replies) or the owning worker is simply slower
-                        # than the deadline — fail with both causes named
-                        # instead of hanging Nature forever.
-                        raise MPIError(
-                            f"no fitness return for PC ({teacher} -> {learner})"
-                            f" from owners ({t_owner}, {l_owner}) within"
-                            f" {fitness_timeout:g} s at generation {gen}:"
-                            " the owning worker may be too slow for the"
-                            " configured deadline (raise ParallelSimulation"
-                            "(fitness_timeout=...)) or the ownership maps"
-                            " diverged across ranks"
-                        ) from exc
-                    decision = nature.decide_adoption(
-                        PCSelection(teacher=teacher, learner=learner), pi_t, pi_l
-                    )
-                    outcome = PCOutcome(
-                        teacher=teacher,
-                        learner=learner,
-                        adopted=decision.adopted,
-                        pi_teacher=decision.pi_teacher,
-                        pi_learner=decision.pi_learner,
-                        probability=decision.probability,
-                    )
-                else:
-                    outcome = None
-                outcome = comm.bcast(outcome, root=decomp.nature_rank)
-                if outcome.adopted:
-                    population.adopt(outcome.learner, outcome.teacher)
-
-        # Step 4: mutation broadcast.
-        if nature is not None:
-            mut_sel = nature.select_mutation(population.random_strategy_table)
-            update = (
-                MutationUpdate(sset=mut_sel.sset, table=mut_sel.table)
-                if mut_sel is not None
-                else None
-            )
-        else:
-            update = None
-        with tracer.span("mutation", rank=comm.rank, args={"gen": gen}):
-            update = comm.bcast(update, root=decomp.nature_rank)
-        if update is not None:
-            population.set_strategy(update.sset, update.table)
-        gen_span.__exit__(None, None, None)
-
-    matrix = population.matrix()
-    digests = comm.allgather(_replica_digest(matrix))
-    if len(set(digests)) != 1:
-        raise MPIError(f"rank {comm.rank}: population replicas diverged: {digests}")
-
-    out: dict = {"digest": digests[0], "games_played": games_played}
-    if nature is not None:
-        out.update(
-            matrix=matrix,
-            n_pc_events=nature.n_pc_events,
-            n_adoptions=nature.n_adoptions,
-            n_mutations=nature.n_mutations,
-        )
-    return out
-
-
-# -- fault-tolerant execution ---------------------------------------------------------
-#
-# The fault-tolerant rank program replaces the collective tree with a
-# reliable point-to-point star (see repro.parallel.protocol).  Nature
-# heartbeats every live worker each generation; dead or silent workers are
-# detected, their SSets redistributed to survivors, and the run continues.
-# Because fitness is a deterministic function of (population, generation,
-# sset) on every rank, redistribution does not perturb the trajectory: a
-# crash-degraded run still matches the fault-free population bit for bit.
-
-
 @dataclass(frozen=True)
-class _FTOptions:
-    """Knobs of the fault-tolerant rank program (internal)."""
+class _StarOptions:
+    """Knobs of the star channel and the state a resumed run starts from (internal)."""
 
     heartbeat_timeout: float = 5.0
     checkpoint_dir: str | None = None
@@ -325,28 +182,273 @@ class _FTOptions:
     membership_plan: tuple[MembershipEvent, ...] = ()
 
 
-def _rank_program_ft(comm: Comm, config: SimulationConfig, eager_games: bool, opts: _FTOptions):
-    """The fault-tolerant SPMD body executed by every rank."""
+def _rank_program(
+    comm: Comm, config: SimulationConfig, eager_games: bool, star: _StarOptions | None = None
+) -> dict:
+    """The SPMD body executed by every rank: the tree channel, or the star when ``star`` is set."""
     streams = StreamFactory(config.seed)
-    if comm.rank != 0 and (
-        getattr(comm.world, "incarnation", 0) > 0
-        or comm.rank in getattr(comm.world, "joiner_ranks", ())
-    ):
-        # Replacement process under on_rank_failure="respawn", or a fresh
-        # rank added mid-run by World.grow: either way the initial
-        # population is stale (the run has moved on since generation 0), so
-        # skip straight to the rejoin handshake with Nature.
-        return _ft_worker_respawned(comm, config, eager_games, streams)
+    opts = star if star is not None else _StarOptions()
     if opts.start_matrix is None:
         population = Population.random(config, streams.fresh("init"))
     else:
         population = Population(config, np.array(opts.start_matrix, copy=True))
-    evaluator = FitnessEvaluator(config, population, streams)
-    failed = set(opts.start_failed)
+    net = _Tree(comm, config) if star is None else _Star(comm, config, star)
     if comm.rank == 0:
-        return _ft_nature(comm, config, population, streams, failed, opts)
-    return _ft_worker(comm, config, eager_games, population, evaluator, streams, failed)
+        return _nature_loop(net, config, population, streams, opts)
+    try:
+        return _worker_loop(net, config, eager_games, population, streams)
+    except (RankFailedError, RecvTimeoutError) as exc:
+        if star is None or comm.world.is_failed(0):
+            raise  # Nature is dead (or there is no failure handling): fail loudly.
+        # Partitioned from a live Nature (or falsely declared dead): die
+        # quietly and let Nature's failure detection degrade the run.
+        raise RankCrashError(f"rank {comm.rank}: lost contact with Nature ({exc})") from exc
 
+
+def _nature_loop(net, config, population, streams, opts: _StarOptions) -> dict:
+    """Rank 0: draw each generation's events, gather fitness, publish the updates."""
+    comm, tracer = net.comm, net.tracer
+    nature = NatureAgent(config, streams)
+    if opts.start_nature_rng is not None:
+        streams.stream("nature").bit_generator.state = opts.start_nature_rng
+        nature.n_pc_events, nature.n_adoptions, nature.n_mutations = opts.start_counters
+    checkpoints: list[str] = []
+    for gen in range(opts.start_generation + 1, config.generations + 1):
+        with tracer.span("generation", rank=comm.rank, args={"gen": gen}):
+            net.begin(gen, population)
+            selection = nature.select_pc()
+            pi_t, pi_l = net.gather_fitness(gen, selection)
+            outcome = None
+            if selection is not None:
+                decision = nature.decide_adoption(selection, float(pi_t), float(pi_l))
+                outcome = PCOutcome(
+                    teacher=selection.teacher,
+                    learner=selection.learner,
+                    adopted=decision.adopted,
+                    pi_teacher=decision.pi_teacher,
+                    pi_learner=decision.pi_learner,
+                    probability=decision.probability,
+                )
+                if outcome.adopted:
+                    population.adopt(outcome.learner, outcome.teacher)
+            mut_sel = nature.select_mutation(population.random_strategy_table)
+            mutation = None
+            if mut_sel is not None:
+                mutation = MutationUpdate(sset=mut_sel.sset, table=mut_sel.table)
+                population.set_strategy(mut_sel.sset, mut_sel.table)
+            net.publish(gen, outcome, mutation)
+            if opts.checkpoint_dir is not None and opts.checkpoint_every > 0 and (
+                gen % opts.checkpoint_every == 0
+            ):
+                with tracer.span("checkpoint", rank=comm.rank, args={"gen": gen}):
+                    checkpoints.append(
+                        _checkpoint(net, config, population, streams, nature, opts, gen)
+                    )
+    matrix = population.matrix()
+    out = net.finish(matrix)
+    out.update(
+        matrix=matrix,
+        games_played=0,
+        n_pc_events=nature.n_pc_events,
+        n_adoptions=nature.n_adoptions,
+        n_mutations=nature.n_mutations,
+        checkpoints=tuple(checkpoints),
+    )
+    return out
+
+
+def _checkpoint(net, config, population, streams, nature, opts, gen) -> str:
+    state = ParallelCheckpoint(
+        config=config,
+        generation=gen,
+        matrix=population.matrix(),
+        nature_rng_state=streams.stream("nature").bit_generator.state,
+        n_pc_events=nature.n_pc_events,
+        n_adoptions=nature.n_adoptions,
+        n_mutations=nature.n_mutations,
+        failed_ranks=tuple(sorted(net.failed)),
+    )
+    if net.comm.checkpoint_fault_point(gen):
+        # Injected kill_during_checkpoint: reproduce the pre-atomic-write
+        # failure mode — partial bytes at the final path — then die
+        # mid-write.  The supervisor must skip this torn file and resume
+        # from the last valid one.
+        write_torn_parallel_checkpoint(state, opts.checkpoint_dir)
+        raise RankCrashError(
+            f"rank {net.comm.rank}: injected kill during checkpoint at generation {gen}"
+        )
+    return str(save_parallel_checkpoint(state, opts.checkpoint_dir))
+
+
+def _worker_loop(net, config, eager_games, population, streams) -> dict:
+    """Ranks 1..P-1: play, return fitness for owned SSets, apply every update."""
+    population = net.join(population)
+    if population is None:
+        return {"digest": b"", "games_played": 0, "rejoined": False}
+    rank, tracer = net.comm.rank, net.tracer
+    evaluator = FitnessEvaluator(config, population, streams)
+
+    def fitness(sset: int, gen: int) -> float:
+        return float(evaluator.fitness([sset], generation=gen)[0])
+
+    games_played = 0
+    for msg in net.messages():
+        if isinstance(msg, FTHeader):
+            gen = msg.generation
+            with tracer.span("generation", rank=rank, args={"gen": gen}):
+                if eager_games:
+                    # Faithful mode: every generation, every owned SSet plays
+                    # its full opponent slate (§IV-D), whether or not a PC
+                    # will consume the fitness.  The trajectory is unaffected
+                    # — PC fitness still comes from the evaluator's
+                    # deterministic/keyed-stream path.
+                    with tracer.span("play", rank=rank, args={"gen": gen}):
+                        owners = owner_map_with_failures(
+                            config.n_ssets,
+                            msg.n_ranks if msg.n_ranks > 0 else net.comm.size,
+                            msg.failed_ranks,
+                        )
+                        games_played += _eager_slate(
+                            config, population, evaluator, streams,
+                            np.flatnonzero(owners == rank), gen,
+                        )
+                pi_t = pi_l = None
+                if msg.has_pc:
+                    with tracer.span("fitness", rank=rank, args={"gen": gen}):
+                        if msg.teacher_owner == rank:
+                            pi_t = fitness(msg.pc_teacher, gen)
+                        if msg.learner_owner == rank:
+                            pi_l = fitness(msg.pc_learner, gen)
+                net.report(gen, pi_t, pi_l)
+        elif isinstance(msg, FTUpdate):
+            if msg.outcome is not None and msg.outcome.adopted:
+                population.adopt(msg.outcome.learner, msg.outcome.teacher)
+            if msg.mutation is not None:
+                population.set_strategy(msg.mutation.sset, msg.mutation.table)
+        elif isinstance(msg, FTFitnessRequest):
+            net.report(
+                msg.generation,
+                fitness(msg.pc_teacher, msg.generation) if msg.want_teacher else None,
+                fitness(msg.pc_learner, msg.generation) if msg.want_learner else None,
+            )
+        elif isinstance(msg, FTRetire):
+            # Planned exit (World.shrink): finish cleanly with a digest
+            # Nature validates, then leave the world.
+            out = net.final(population.matrix(), games_played)
+            tracer.instant("retire", rank=rank, args={"gen": msg.generation})
+            return {**out, "retired": True}
+        else:
+            raise MPIError(f"rank {rank}: unexpected control message {type(msg).__name__}")
+    return net.final(population.matrix(), games_played)
+
+
+# -- the tree channel -----------------------------------------------------------------
+
+
+class _Tree:
+    """The paper's message pattern: collective-tree broadcasts, p2p fitness returns.
+
+    Per generation Nature broadcasts a :class:`GenerationHeader`, the
+    owners of the teacher and learner send their fitness on
+    ``TAG_FITNESS``/``TAG_FITNESS + 1``, and Nature broadcasts the
+    :class:`PCOutcome` (PC generations only) and the mutation (every
+    generation, ``None`` when idle); a final ``allgather`` checks that
+    every replica agrees.  Only the :class:`~repro.parallel.mpi4py_backend.CommLike`
+    surface is touched (plus ``comm.world.tracer`` where the communicator
+    has a world), so this channel also runs on mpi4py.
+    """
+
+    #: The tree has no failure handling: a dead rank aborts the run.
+    failed: frozenset[int] = frozenset()
+
+    def __init__(self, comm, config: SimulationConfig) -> None:
+        self.comm = comm
+        self.generations = config.generations
+        self.decomp = SSetDecomposition(config.n_ssets, comm.size)
+        world = getattr(comm, "world", None)
+        self.tracer = world.tracer if world is not None else NULL_TRACER
+
+    def _span(self, name: str, gen: int):
+        return self.tracer.span(name, rank=self.comm.rank, args={"gen": gen})
+
+    def _agreed_digest(self, matrix: np.ndarray) -> bytes:
+        digests = self.comm.allgather(_replica_digest(matrix))
+        if len(set(digests)) != 1:
+            raise MPIError(f"rank {self.comm.rank}: population replicas diverged: {digests}")
+        return digests[0]
+
+    # Nature's side.
+
+    def begin(self, gen: int, population: Population) -> None:
+        pass
+
+    def gather_fitness(self, gen: int, selection: PCSelection | None):
+        header = GenerationHeader(
+            generation=gen,
+            pc_teacher=selection.teacher if selection else -1,
+            pc_learner=selection.learner if selection else -1,
+        )
+        with self._span("header", gen):
+            self.comm.bcast(header, root=0)
+        if selection is None:
+            return None, None
+        with self._span("pc_step", gen):
+            pi_t = self.comm.recv(source=self.decomp.owner_of(selection.teacher), tag=_TAG_TEACHER)
+            pi_l = self.comm.recv(source=self.decomp.owner_of(selection.learner), tag=_TAG_LEARNER)
+        return pi_t, pi_l
+
+    def publish(self, gen: int, outcome: PCOutcome | None, mutation: MutationUpdate | None):
+        if outcome is not None:
+            with self._span("pc_step", gen):
+                self.comm.bcast(outcome, root=0)
+        with self._span("mutation", gen):
+            self.comm.bcast(mutation, root=0)
+
+    def finish(self, matrix: np.ndarray) -> dict:
+        return {"digest": self._agreed_digest(matrix)}
+
+    # A worker's side.
+
+    def join(self, population: Population) -> Population:
+        return population
+
+    def messages(self):
+        """Yield an :class:`FTHeader`, then an :class:`FTUpdate`, per generation."""
+        comm = self.comm
+        for gen in range(1, self.generations + 1):
+            with self._span("header", gen):
+                header = comm.bcast(None, root=0)
+            if header.generation != gen:
+                raise MPIError(
+                    f"rank {comm.rank} desynchronised: header {header.generation} != {gen}"
+                )
+            yield FTHeader(
+                generation=gen,
+                pc_teacher=header.pc_teacher,
+                pc_learner=header.pc_learner,
+                teacher_owner=self.decomp.owner_of(header.pc_teacher) if header.has_pc else -1,
+                learner_owner=self.decomp.owner_of(header.pc_learner) if header.has_pc else -1,
+                n_ranks=comm.size,
+            )
+            outcome = None
+            if header.has_pc:
+                with self._span("pc_step", gen):
+                    outcome = comm.bcast(None, root=0)
+            with self._span("mutation", gen):
+                mutation = comm.bcast(None, root=0)
+            yield FTUpdate(generation=gen, outcome=outcome, mutation=mutation)
+
+    def report(self, gen: int, pi_t: float | None, pi_l: float | None) -> None:
+        if pi_t is not None:
+            self.comm.send(pi_t, dest=0, tag=_TAG_TEACHER)
+        if pi_l is not None:
+            self.comm.send(pi_l, dest=0, tag=_TAG_LEARNER)
+
+    def final(self, matrix: np.ndarray, games_played: int) -> dict:
+        return {"digest": self._agreed_digest(matrix), "games_played": games_played}
+
+
+# -- the star channel -----------------------------------------------------------------
 
 #: How long a respawned worker keeps re-sending its hello before giving up.
 _REJOIN_DEADLINE = 60.0
@@ -355,206 +457,76 @@ _REJOIN_DEADLINE = 60.0
 _HELLO_RETRY = 0.2
 
 
-def _ft_worker_respawned(comm, config, eager_games, streams) -> dict:
-    """Entry point of a replacement process: handshake with Nature, rejoin.
+class _Star:
+    """The fault-tolerant channel: a reliable point-to-point star.
 
-    The hello travels over a *plain* send that we retry ourselves: Nature
-    ignores hellos for ranks it has not yet declared dead (the previous
-    incarnation might still be limping), so the reliable channel's
-    ack-or-fail contract is the wrong tool here.  The answer — an
-    :class:`~repro.parallel.protocol.FTRejoin` carrying Nature's
-    authoritative matrix — comes back on the reliable channel.  Worker
-    randomness is keyed by ``(generation, sset)``, pure functions of the
-    seed, so no RNG state needs to travel: the replacement's streams are
-    correct the moment they are constructed.
+    Nature heartbeats every live worker each generation (see
+    :mod:`repro.parallel.protocol`); dead or silent workers are detected,
+    their SSets redistributed to survivors, and the run continues.  Because
+    fitness is a deterministic function of (population, generation, sset)
+    on every rank, redistribution does not perturb the trajectory: a
+    crash-degraded run still matches the fault-free population bit for bit.
     """
-    tracer = comm.world.tracer
-    incarnation = getattr(comm.world, "incarnation", 0)
-    deadline = time.monotonic() + _REJOIN_DEADLINE
-    rejoin = None
-    while rejoin is None:
-        if time.monotonic() >= deadline:
-            # Nature never answered (the run may have finished without us,
-            # or is about to abort).  Die quietly — the executor records
-            # the rank as permanently degraded.
-            return {"digest": b"", "games_played": 0, "rejoined": False}
-        try:
-            comm.send(
-                FTHello(rank=comm.rank, incarnation=incarnation), dest=0, tag=TAG_HELLO
-            )
-            rejoin = comm.recv_reliable(source=0, tag=TAG_RECOVERY, timeout=_HELLO_RETRY)
-        except RecvTimeoutError:
-            continue  # Nature has not declared us dead yet; hello again.
-        except RankFailedError:
-            # Nature itself is dead: nothing to rejoin.
-            return {"digest": b"", "games_played": 0, "rejoined": False}
-    population = Population(config, np.array(rejoin.matrix, copy=True))
-    evaluator = FitnessEvaluator(config, population, streams)
-    failed = set(rejoin.failed_ranks)
-    tracer.instant(
-        "rejoin", rank=comm.rank,
-        args={"gen": rejoin.generation, "incarnation": incarnation},
-    )
-    return _ft_worker(
-        comm, config, eager_games, population, evaluator, streams, failed,
-        min_generation=rejoin.generation,
-    )
 
+    def __init__(self, comm: Comm, config: SimulationConfig, opts: _StarOptions) -> None:
+        self.comm = comm
+        self.config = config
+        self.tracer = comm.world.tracer
+        self.hb = opts.heartbeat_timeout
+        self.size = comm.size
+        self.failed = set(opts.start_failed)
+        self.live = [r for r in range(1, self.size) if r not in self.failed]
+        self.degradations: list[DegradationEvent] = []
+        self.recoveries: list[RecoveryEvent] = []
+        self.membership: list[MembershipChange] = []
+        #: Cleanly retired ranks (World.shrink) — excluded from ownership like
+        #: failures, but not failures: they finished with a validated digest.
+        self.retired: set[int] = set()
+        self.retired_finals: dict[int, FTFinal] = {}
+        #: Fresh ranks (World.grow) whose rejoin handshake is still pending.
+        self.joining: set[int] = set()
+        self.plan_by_gen: dict[int, list[MembershipEvent]] = {}
+        for event in opts.membership_plan:
+            self.plan_by_gen.setdefault(event.generation, []).append(event)
+        #: A worker ignores control traffic at or before this generation.
+        self.min_generation = 0
 
-def _ft_worker(
-    comm, config, eager_games, population, evaluator, streams, failed, min_generation=0
-) -> dict:
-    try:
-        return _ft_worker_loop(
-            comm, config, eager_games, population, evaluator, streams, failed,
-            min_generation=min_generation,
-        )
-    except (RankFailedError, RecvTimeoutError) as exc:
-        if comm.world.is_failed(0):
-            raise  # Nature is dead: the job cannot finish, fail loudly.
-        # Partitioned from a live Nature (or falsely declared dead): die
-        # quietly and let Nature's failure detection degrade the run.
-        raise RankCrashError(f"rank {comm.rank}: lost contact with Nature ({exc})") from exc
+    def _gone(self) -> tuple[int, ...]:
+        return tuple(sorted(self.failed | self.retired))
 
+    def _owners(self) -> np.ndarray:
+        return owner_map_with_failures(self.config.n_ssets, self.size, self._gone())
 
-def _ft_worker_loop(
-    comm, config, eager_games, population, evaluator, streams, failed, min_generation=0
-) -> dict:
-    games_played = 0
-    tracer = comm.world.tracer
-    while True:
-        msg = comm.recv_reliable(source=0, tag=TAG_CONTROL)
-        if isinstance(msg, FTShutdown):
-            break
-        if getattr(msg, "generation", min_generation + 1) <= min_generation:
-            # Stale control traffic addressed to a previous incarnation of
-            # this rank (the reliable layer may redeliver frames sent before
-            # our predecessor died).  Everything at or before the rejoin
-            # generation is already folded into the matrix we were seeded
-            # with — drop it without replying.
-            continue
-        if isinstance(msg, FTHeader):
-            gen = msg.generation
-            gen_span = tracer.span("generation", rank=comm.rank, args={"gen": gen})
-            gen_span.__enter__()
-            comm.fault_point(gen)
-            failed = set(msg.failed_ranks)
-            if eager_games:
-                with tracer.span("play", rank=comm.rank, args={"gen": gen}):
-                    owners = owner_map_with_failures(
-                        config.n_ssets,
-                        msg.n_ranks if msg.n_ranks > 0 else comm.size,
-                        tuple(sorted(failed)),
-                    )
-                    owned = np.flatnonzero(owners == comm.rank)
-                    games_played += _eager_slate(
-                        config, population, evaluator, streams, owned, gen
-                    )
-            pi_t = pi_l = None
-            if msg.has_pc:
-                with tracer.span("fitness", rank=comm.rank, args={"gen": gen}):
-                    if msg.teacher_owner == comm.rank:
-                        pi_t = float(evaluator.fitness([msg.pc_teacher], generation=gen)[0])
-                    if msg.learner_owner == comm.rank:
-                        pi_l = float(evaluator.fitness([msg.pc_learner], generation=gen)[0])
-            comm.send_reliable(
-                WorkerReport(rank=comm.rank, generation=gen, pi_teacher=pi_t, pi_learner=pi_l),
-                dest=0,
-                tag=TAG_REPORT,
-            )
-            gen_span.__exit__(None, None, None)
-        elif isinstance(msg, FTFitnessRequest):
-            pi_t = (
-                float(evaluator.fitness([msg.pc_teacher], generation=msg.generation)[0])
-                if msg.want_teacher
-                else None
-            )
-            pi_l = (
-                float(evaluator.fitness([msg.pc_learner], generation=msg.generation)[0])
-                if msg.want_learner
-                else None
-            )
-            comm.send_reliable(
-                WorkerReport(
-                    rank=comm.rank, generation=msg.generation, pi_teacher=pi_t, pi_learner=pi_l
-                ),
-                dest=0,
-                tag=TAG_REPORT,
-            )
-        elif isinstance(msg, FTUpdate):
-            if msg.outcome is not None and msg.outcome.adopted:
-                population.adopt(msg.outcome.learner, msg.outcome.teacher)
-            if msg.mutation is not None:
-                population.set_strategy(msg.mutation.sset, msg.mutation.table)
-            failed = set(msg.failed_ranks)
-        elif isinstance(msg, FTRetire):
-            # Planned exit (World.shrink): finish cleanly with a digest
-            # Nature validates, then leave the world.
-            digest = _replica_digest(population.matrix())
-            comm.send_reliable(
-                FTFinal(rank=comm.rank, digest=digest, games_played=games_played),
-                dest=0,
-                tag=TAG_REPORT,
-            )
-            tracer.instant("retire", rank=comm.rank, args={"gen": msg.generation})
-            return {"digest": digest, "games_played": games_played, "retired": True}
-        else:
-            raise MPIError(f"rank {comm.rank}: unexpected control message {type(msg).__name__}")
-    digest = _replica_digest(population.matrix())
-    comm.send_reliable(
-        FTFinal(rank=comm.rank, digest=digest, games_played=games_played),
-        dest=0,
-        tag=TAG_REPORT,
-    )
-    return {"digest": digest, "games_played": games_played}
+    # Nature's side.
 
-
-def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
-    nature = NatureAgent(config, streams)
-    if opts.start_nature_rng is not None:
-        streams.stream("nature").bit_generator.state = opts.start_nature_rng
-        nature.n_pc_events, nature.n_adoptions, nature.n_mutations = opts.start_counters
-    size = comm.size
-    live = [r for r in range(1, size) if r not in failed]
-    degradations: list[DegradationEvent] = []
-    recoveries: list[RecoveryEvent] = []
-    checkpoints: list[str] = []
-    membership: list[MembershipChange] = []
-    #: Cleanly retired ranks (World.shrink) — excluded from ownership like
-    #: failures, but not failures: they finished with a validated digest.
-    retired: set[int] = set()
-    retired_finals: dict[int, FTFinal] = {}
-    #: Fresh ranks (World.grow) whose rejoin handshake is still pending.
-    joining: set[int] = set()
-    plan_by_gen: dict[int, list[MembershipEvent]] = {}
-    for event in opts.membership_plan:
-        plan_by_gen.setdefault(event.generation, []).append(event)
-    hb = opts.heartbeat_timeout
-    tracer = comm.world.tracer
-
-    def owners_now() -> np.ndarray:
-        return owner_map_with_failures(
-            config.n_ssets, size, tuple(sorted(failed | retired))
-        )
-
-    def declare_failed(rank: int, gen: int, reason: str) -> None:
-        if rank in failed:
+    def _declare_failed(self, rank: int, gen: int, reason: str) -> None:
+        if rank in self.failed:
             return
-        lost = tuple(int(s) for s in np.flatnonzero(owners_now() == rank))
-        failed.add(rank)
-        if rank in live:
-            live.remove(rank)
-        comm.world.mark_failed(rank, reason)
-        comm.world.counters.record("degradation", messages=0, nbytes=0)
-        tracer.instant(
-            "degradation", rank=comm.rank,
+        lost = tuple(int(s) for s in np.flatnonzero(self._owners() == rank))
+        self.failed.add(rank)
+        if rank in self.live:
+            self.live.remove(rank)
+        self.comm.world.mark_failed(rank, reason)
+        self.comm.world.counters.record("degradation", messages=0, nbytes=0)
+        self.tracer.instant(
+            "degradation", rank=self.comm.rank,
             args={"gen": gen, "failed_rank": rank, "reason": reason},
         )
-        degradations.append(
+        self.degradations.append(
             DegradationEvent(generation=gen, rank=rank, reason=reason, reassigned_ssets=lost)
         )
 
-    def process_hellos(gen: int) -> None:
+    def _recv_report(self, rank: int, gen: int):
+        """``rank``'s next report, skipping heartbeats from before ``gen``."""
+        report = self.comm.recv_reliable(source=rank, tag=TAG_REPORT, timeout=self.hb)
+        while isinstance(report, WorkerReport) and report.generation < gen:
+            # Stale heartbeat from a previous incarnation of the rank (resent
+            # frames the replacement's rejoin revived); already accounted
+            # for — wait for the current one.
+            report = self.comm.recv_reliable(source=rank, tag=TAG_REPORT, timeout=self.hb)
+        return report
+
+    def _process_hellos(self, gen: int, population: Population) -> None:
         """Rejoin any respawned workers whose hellos have arrived.
 
         Called at the generation boundary, *before* this generation's
@@ -563,20 +535,21 @@ def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
         is untouched by the handshake — the healed trajectory is the
         fault-free trajectory, bit for bit.
         """
+        comm = self.comm
         while comm.probe(source=ANY_SOURCE, tag=TAG_HELLO):
             try:
                 hello = comm.recv(source=ANY_SOURCE, tag=TAG_HELLO, timeout=0.1)
             except (RecvTimeoutError, RankFailedError):
                 return
             rank = hello.rank
-            if rank not in failed and rank not in joining:
+            if rank not in self.failed and rank not in self.joining:
                 # Not yet declared dead (or never was): the replacement
                 # keeps re-sending its hello; answer once we have degraded.
                 continue
             rejoin = FTRejoin(
                 generation=gen - 1,
                 matrix=population.matrix(),
-                failed_ranks=tuple(sorted((failed | retired) - {rank})),
+                failed_ranks=tuple(sorted((self.failed | self.retired) - {rank})),
             )
             # Revive before sending: the reliable ack wait fails fast on
             # ranks marked dead.  Roll back if the handshake fails.
@@ -590,17 +563,17 @@ def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
             # ours for its predecessor so its new frames are not mistaken
             # for duplicates (our send sequence stays monotonic).
             comm.forget_reliable_peer(rank)
-            failed.discard(rank)
-            joining.discard(rank)
-            live.append(rank)
-            live.sort()
-            restored = tuple(int(s) for s in np.flatnonzero(owners_now() == rank))
+            self.failed.discard(rank)
+            self.joining.discard(rank)
+            self.live.append(rank)
+            self.live.sort()
+            restored = tuple(int(s) for s in np.flatnonzero(self._owners() == rank))
             comm.world.counters.record("recovery", messages=0, nbytes=0)
-            tracer.instant(
+            self.tracer.instant(
                 "recovery", rank=comm.rank,
                 args={"gen": gen, "healed_rank": rank, "incarnation": hello.incarnation},
             )
-            recoveries.append(
+            self.recoveries.append(
                 RecoveryEvent(
                     generation=gen - 1,
                     rank=rank,
@@ -609,7 +582,7 @@ def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
                 )
             )
 
-    def apply_membership(gen: int) -> None:
+    def _apply_membership(self, gen: int, population: Population) -> None:
         """Execute this generation boundary's planned grow/shrink events.
 
         Runs after generation ``gen - 1``'s updates are applied everywhere
@@ -618,261 +591,252 @@ def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
         plan; only the ownership arithmetic changes, and fitness is a pure
         function of ``(generation, sset)`` on every rank.
         """
-        nonlocal size
-        for event in plan_by_gen.get(gen, ()):
+        comm = self.comm
+        for event in self.plan_by_gen.get(gen, ()):
             if event.action == "grow":
-                new_ranks = comm.world.grow(event.count)
-                size = comm.size
-                joining.update(new_ranks)
+                ranks = comm.world.grow(event.count)
+                self.size = comm.size
+                self.joining.update(ranks)
                 # Wait for each joiner's hello so it owns SSets from this
                 # generation on; stragglers simply rejoin at a later one.
-                deadline = time.monotonic() + max(hb, 5.0)
-                while joining & set(new_ranks) and time.monotonic() < deadline:
-                    process_hellos(gen)
-                    if joining & set(new_ranks):
+                deadline = time.monotonic() + max(self.hb, 5.0)
+                while self.joining & set(ranks) and time.monotonic() < deadline:
+                    self._process_hellos(gen, population)
+                    if self.joining & set(ranks):
                         time.sleep(0.01)
-                membership.append(
-                    MembershipChange(
-                        generation=gen, action="grow", ranks=new_ranks, n_ranks=size
-                    )
-                )
-                tracer.instant(
-                    "membership.grow", rank=comm.rank,
-                    args={"gen": gen, "ranks": list(new_ranks), "n_ranks": size},
-                )
             else:  # shrink
-                victims = tuple(sorted(set(event.ranks)))
+                ranks = tuple(sorted(set(event.ranks)))
                 current_digest = _replica_digest(population.matrix())
-                for rank in victims:
-                    if rank not in live:
+                for rank in ranks:
+                    if rank not in self.live:
                         continue  # already dead; nothing to retire cleanly
                     try:
-                        comm.send_reliable(
-                            FTRetire(generation=gen), dest=rank, tag=TAG_CONTROL
-                        )
-                        final = comm.recv_reliable(source=rank, tag=TAG_REPORT, timeout=hb)
-                        while isinstance(final, WorkerReport):
-                            final = comm.recv_reliable(
-                                source=rank, tag=TAG_REPORT, timeout=hb
-                            )
+                        comm.send_reliable(FTRetire(generation=gen), dest=rank, tag=TAG_CONTROL)
+                        final = self._recv_report(rank, gen)
                     except (RecvTimeoutError, RankFailedError) as exc:
-                        declare_failed(
+                        self._declare_failed(
                             rank, gen, f"lost at retirement: {type(exc).__name__}"
                         )
                         continue
                     if final.digest != current_digest:
                         raise MPIError(
-                            f"retiring rank {rank}'s replica diverged at"
-                            f" generation {gen}"
+                            f"retiring rank {rank}'s replica diverged at generation {gen}"
                         )
-                    retired_finals[rank] = final
-                    retired.add(rank)
-                    live.remove(rank)
-                comm.world.shrink([r for r in victims if r in retired])
-                membership.append(
-                    MembershipChange(
-                        generation=gen, action="shrink", ranks=victims, n_ranks=size
-                    )
+                    self.retired_finals[rank] = final
+                    self.retired.add(rank)
+                    self.live.remove(rank)
+                comm.world.shrink([r for r in ranks if r in self.retired])
+            self.membership.append(
+                MembershipChange(
+                    generation=gen, action=event.action, ranks=ranks, n_ranks=self.size
                 )
-                tracer.instant(
-                    "membership.shrink", rank=comm.rank,
-                    args={"gen": gen, "ranks": list(victims), "n_ranks": size},
-                )
+            )
+            self.tracer.instant(
+                f"membership.{event.action}", rank=comm.rank,
+                args={"gen": gen, "ranks": list(ranks), "n_ranks": self.size},
+            )
 
-    for gen in range(opts.start_generation + 1, config.generations + 1):
-        gen_span = tracer.span("generation", rank=comm.rank, args={"gen": gen})
-        gen_span.__enter__()
-        comm.fault_point(gen)
-        if gen in plan_by_gen:
-            apply_membership(gen)
-        if failed or joining:
-            process_hellos(gen)
-        if not live:
+    def begin(self, gen: int, population: Population) -> None:
+        self.comm.fault_point(gen)
+        if gen in self.plan_by_gen:
+            self._apply_membership(gen, population)
+        if self.failed or self.joining:
+            self._process_hellos(gen, population)
+        if not self.live:
             # Every worker is currently dead.  Under respawn, replacements
             # may be on their way up — wait a heartbeat's worth for a hello
             # before giving up on the run.
-            deadline = time.monotonic() + hb
-            while not live and time.monotonic() < deadline:
+            deadline = time.monotonic() + self.hb
+            while not self.live and time.monotonic() < deadline:
                 time.sleep(0.02)
-                process_hellos(gen)
-        if not live:
+                self._process_hellos(gen, population)
+        if not self.live:
             raise MPIError(f"generation {gen}: all worker ranks failed; cannot continue")
-        selection = nature.select_pc()
-        owners = owners_now()
+
+    def gather_fitness(self, gen: int, selection: PCSelection | None):
+        comm, tracer = self.comm, self.tracer
+        owners = self._owners()
         header = FTHeader(
             generation=gen,
             pc_teacher=selection.teacher if selection else -1,
             pc_learner=selection.learner if selection else -1,
             teacher_owner=int(owners[selection.teacher]) if selection else -1,
             learner_owner=int(owners[selection.learner]) if selection else -1,
-            failed_ranks=tuple(sorted(failed | retired)),
-            n_ranks=size,
+            failed_ranks=self._gone(),
+            n_ranks=self.size,
         )
         with tracer.span("header", rank=comm.rank, args={"gen": gen}):
-            for rank in list(live):
+            for rank in list(self.live):
                 try:
                     comm.send_reliable(header, dest=rank, tag=TAG_CONTROL)
                 except RankFailedError as exc:
-                    declare_failed(rank, gen, f"header not acknowledged: {exc}")
+                    self._declare_failed(rank, gen, f"header not acknowledged: {exc}")
 
         # Heartbeat round: one report per live worker, deadline-bounded.
-        hb_span = tracer.span("heartbeat", rank=comm.rank, args={"gen": gen})
-        hb_span.__enter__()
         pi_t = pi_l = None
-        for rank in list(live):
-            try:
-                report = comm.recv_reliable(source=rank, tag=TAG_REPORT, timeout=hb)
-                while report.generation < gen:
-                    # Stale heartbeat from a previous incarnation of the
-                    # rank (resent frames the replacement's rejoin revived);
-                    # already accounted for — wait for the current one.
-                    report = comm.recv_reliable(source=rank, tag=TAG_REPORT, timeout=hb)
-            except (RecvTimeoutError, RankFailedError) as exc:
-                declare_failed(rank, gen, f"no heartbeat: {type(exc).__name__}")
-                continue
-            if report.generation != gen:
-                raise MPIError(
-                    f"nature desynchronised: rank {rank} reported generation"
-                    f" {report.generation} != {gen}"
-                )
-            comm.world.counters.record("heartbeat", messages=0, nbytes=0)
-            if report.pi_teacher is not None:
-                pi_t = report.pi_teacher
-            if report.pi_learner is not None:
-                pi_l = report.pi_learner
-        hb_span.__exit__(None, None, None)
-
-        pc_span = tracer.span("pc_step", rank=comm.rank, args={"gen": gen})
-        pc_span.__enter__()
-        # Fitness recovery: the owner died mid-generation, ask the new owner.
-        while selection is not None and (pi_t is None or pi_l is None):
-            if not live:
-                raise MPIError(f"generation {gen}: all worker ranks failed mid-PC")
-            owners = owners_now()
-            wanted: dict[int, list[bool]] = {}
-            if pi_t is None:
-                wanted.setdefault(int(owners[selection.teacher]), [False, False])[0] = True
-            if pi_l is None:
-                wanted.setdefault(int(owners[selection.learner]), [False, False])[1] = True
-            for rank, (want_t, want_l) in wanted.items():
-                request = FTFitnessRequest(
-                    generation=gen,
-                    pc_teacher=selection.teacher,
-                    pc_learner=selection.learner,
-                    want_teacher=want_t,
-                    want_learner=want_l,
-                )
+        with tracer.span("heartbeat", rank=comm.rank, args={"gen": gen}):
+            for rank in list(self.live):
                 try:
-                    comm.send_reliable(request, dest=rank, tag=TAG_CONTROL)
-                    report = comm.recv_reliable(source=rank, tag=TAG_REPORT, timeout=hb)
-                    while report.generation < gen:
-                        report = comm.recv_reliable(source=rank, tag=TAG_REPORT, timeout=hb)
+                    report = self._recv_report(rank, gen)
                 except (RecvTimeoutError, RankFailedError) as exc:
-                    declare_failed(rank, gen, f"fitness re-request failed: {type(exc).__name__}")
+                    self._declare_failed(rank, gen, f"no heartbeat: {type(exc).__name__}")
                     continue
+                if report.generation != gen:
+                    raise MPIError(
+                        f"nature desynchronised: rank {rank} reported generation"
+                        f" {report.generation} != {gen}"
+                    )
+                comm.world.counters.record("heartbeat", messages=0, nbytes=0)
                 if report.pi_teacher is not None:
                     pi_t = report.pi_teacher
                 if report.pi_learner is not None:
                     pi_l = report.pi_learner
+        if selection is None:
+            return None, None
 
-        outcome = None
-        if selection is not None:
-            decision = nature.decide_adoption(selection, float(pi_t), float(pi_l))
-            outcome = PCOutcome(
-                teacher=selection.teacher,
-                learner=selection.learner,
-                adopted=decision.adopted,
-                pi_teacher=decision.pi_teacher,
-                pi_learner=decision.pi_learner,
-                probability=decision.probability,
-            )
-            if outcome.adopted:
-                population.adopt(outcome.learner, outcome.teacher)
-        mut_sel = nature.select_mutation(population.random_strategy_table)
-        update = FTUpdate(
-            generation=gen,
-            outcome=outcome,
-            mutation=(
-                MutationUpdate(sset=mut_sel.sset, table=mut_sel.table)
-                if mut_sel is not None
-                else None
-            ),
-            failed_ranks=tuple(sorted(failed | retired)),
-        )
-        if mut_sel is not None:
-            population.set_strategy(mut_sel.sset, mut_sel.table)
-        for rank in list(live):
-            try:
-                comm.send_reliable(update, dest=rank, tag=TAG_CONTROL)
-            except RankFailedError as exc:
-                declare_failed(rank, gen, f"update not acknowledged: {exc}")
-        pc_span.__exit__(None, None, None)
-
-        if (
-            opts.checkpoint_dir is not None
-            and opts.checkpoint_every > 0
-            and gen % opts.checkpoint_every == 0
-        ):
-            with tracer.span("checkpoint", rank=comm.rank, args={"gen": gen}):
-                state = ParallelCheckpoint(
-                    config=config,
-                    generation=gen,
-                    matrix=population.matrix(),
-                    nature_rng_state=streams.stream("nature").bit_generator.state,
-                    n_pc_events=nature.n_pc_events,
-                    n_adoptions=nature.n_adoptions,
-                    n_mutations=nature.n_mutations,
-                    failed_ranks=tuple(sorted(failed)),
-                )
-                if comm.checkpoint_fault_point(gen):
-                    # Injected kill_during_checkpoint: reproduce the
-                    # pre-atomic-write failure mode — partial bytes at the
-                    # final path — then die mid-write.  The supervisor must
-                    # skip this torn file and resume from the last valid one.
-                    write_torn_parallel_checkpoint(state, opts.checkpoint_dir)
-                    raise RankCrashError(
-                        f"rank {comm.rank}: injected kill during checkpoint"
-                        f" at generation {gen}"
+        # Fitness recovery: the owner died mid-generation, ask the new owner.
+        with tracer.span("pc_step", rank=comm.rank, args={"gen": gen}):
+            while pi_t is None or pi_l is None:
+                if not self.live:
+                    raise MPIError(f"generation {gen}: all worker ranks failed mid-PC")
+                owners = self._owners()
+                wanted: dict[int, list[bool]] = {}
+                if pi_t is None:
+                    wanted.setdefault(int(owners[selection.teacher]), [False, False])[0] = True
+                if pi_l is None:
+                    wanted.setdefault(int(owners[selection.learner]), [False, False])[1] = True
+                for rank, (want_t, want_l) in wanted.items():
+                    request = FTFitnessRequest(
+                        generation=gen,
+                        pc_teacher=selection.teacher,
+                        pc_learner=selection.learner,
+                        want_teacher=want_t,
+                        want_learner=want_l,
                     )
-                checkpoints.append(str(save_parallel_checkpoint(state, opts.checkpoint_dir)))
-        gen_span.__exit__(None, None, None)
+                    try:
+                        comm.send_reliable(request, dest=rank, tag=TAG_CONTROL)
+                        report = self._recv_report(rank, gen)
+                    except (RecvTimeoutError, RankFailedError) as exc:
+                        self._declare_failed(
+                            rank, gen, f"fitness re-request failed: {type(exc).__name__}"
+                        )
+                        continue
+                    if report.pi_teacher is not None:
+                        pi_t = report.pi_teacher
+                    if report.pi_learner is not None:
+                        pi_l = report.pi_learner
+        return pi_t, pi_l
 
-    # Shutdown: collect final digests from survivors, then release stragglers.
-    matrix = population.matrix()
-    digest = _replica_digest(matrix)
-    finals: dict[int, FTFinal] = {}
-    for rank in list(live):
-        try:
-            comm.send_reliable(FTShutdown(generation=config.generations), dest=rank,
-                               tag=TAG_CONTROL)
-            final = comm.recv_reliable(source=rank, tag=TAG_REPORT, timeout=hb)
-            while isinstance(final, WorkerReport):
-                # Stale heartbeat from a healed rank's previous incarnation
-                # still queued ahead of its FTFinal.
-                final = comm.recv_reliable(source=rank, tag=TAG_REPORT, timeout=hb)
-            finals[rank] = final
-        except (RecvTimeoutError, RankFailedError) as exc:
-            declare_failed(rank, config.generations, f"lost at shutdown: {type(exc).__name__}")
-    for rank, final in finals.items():
-        if final.digest != digest:
-            raise MPIError(f"population replica diverged on rank {rank}")
-    comm.world.shutdown()
-    games_by_rank = {rank: final.games_played for rank, final in retired_finals.items()}
-    games_by_rank.update({rank: final.games_played for rank, final in finals.items()})
-    return {
-        "matrix": matrix,
-        "digest": digest,
-        "games_played": 0,
-        "n_pc_events": nature.n_pc_events,
-        "n_adoptions": nature.n_adoptions,
-        "n_mutations": nature.n_mutations,
-        "games_by_rank": games_by_rank,
-        "degradations": tuple(degradations),
-        "recoveries": tuple(recoveries),
-        "failed_ranks": tuple(sorted(failed)),
-        "checkpoints": tuple(checkpoints),
-        "membership": tuple(membership),
-    }
+    def publish(self, gen: int, outcome: PCOutcome | None, mutation: MutationUpdate | None):
+        update = FTUpdate(
+            generation=gen, outcome=outcome, mutation=mutation, failed_ranks=self._gone()
+        )
+        with self.tracer.span("mutation", rank=self.comm.rank, args={"gen": gen}):
+            for rank in list(self.live):
+                try:
+                    self.comm.send_reliable(update, dest=rank, tag=TAG_CONTROL)
+                except RankFailedError as exc:
+                    self._declare_failed(rank, gen, f"update not acknowledged: {exc}")
+
+    def finish(self, matrix: np.ndarray) -> dict:
+        """Collect final digests from survivors, then release stragglers."""
+        comm, gens = self.comm, self.config.generations
+        digest = _replica_digest(matrix)
+        finals: dict[int, FTFinal] = {}
+        for rank in list(self.live):
+            try:
+                comm.send_reliable(FTShutdown(generation=gens), dest=rank, tag=TAG_CONTROL)
+                # Every heartbeat still queued ahead of the FTFinal is stale.
+                finals[rank] = self._recv_report(rank, gens + 1)
+            except (RecvTimeoutError, RankFailedError) as exc:
+                self._declare_failed(rank, gens, f"lost at shutdown: {type(exc).__name__}")
+        for rank, final in finals.items():
+            if final.digest != digest:
+                raise MPIError(f"population replica diverged on rank {rank}")
+        comm.world.shutdown()
+        games_by_rank = {rank: final.games_played for rank, final in self.retired_finals.items()}
+        games_by_rank.update({rank: final.games_played for rank, final in finals.items()})
+        return {
+            "digest": digest,
+            "games_by_rank": games_by_rank,
+            "degradations": tuple(self.degradations),
+            "recoveries": tuple(self.recoveries),
+            "failed_ranks": tuple(sorted(self.failed)),
+            "membership": tuple(self.membership),
+        }
+
+    # A worker's side.
+
+    def join(self, population: Population) -> Population | None:
+        """The worker's starting replica; ``None`` when a rejoin gets no answer.
+
+        A replacement process under ``on_rank_failure="respawn"``, or a
+        fresh rank added by ``World.grow``, holds a stale population, so it
+        handshakes with Nature.  The hello travels over a *plain* send that
+        we retry ourselves: Nature ignores hellos for ranks it has not yet
+        declared dead (the previous incarnation might still be limping).
+        The :class:`~repro.parallel.protocol.FTRejoin` answer carries
+        Nature's authoritative matrix.  Worker randomness is keyed by
+        ``(generation, sset)``, so no RNG state needs to travel.
+        """
+        comm = self.comm
+        incarnation = getattr(comm.world, "incarnation", 0)
+        if incarnation == 0 and comm.rank not in getattr(comm.world, "joiner_ranks", ()):
+            return population
+        deadline = time.monotonic() + _REJOIN_DEADLINE
+        rejoin = None
+        while rejoin is None:
+            if time.monotonic() >= deadline:
+                # Nature never answered (the run may have finished without
+                # us, or is about to abort).  Die quietly — the executor
+                # records the rank as permanently degraded.
+                return None
+            try:
+                comm.send(FTHello(rank=comm.rank, incarnation=incarnation), dest=0, tag=TAG_HELLO)
+                rejoin = comm.recv_reliable(source=0, tag=TAG_RECOVERY, timeout=_HELLO_RETRY)
+            except RecvTimeoutError:
+                continue  # Nature has not declared us dead yet; hello again.
+            except RankFailedError:
+                return None  # Nature itself is dead: nothing to rejoin.
+        self.min_generation = rejoin.generation
+        self.tracer.instant(
+            "rejoin", rank=comm.rank,
+            args={"gen": rejoin.generation, "incarnation": incarnation},
+        )
+        return Population(self.config, np.array(rejoin.matrix, copy=True))
+
+    def messages(self):
+        """Yield Nature's control messages until it sends :class:`FTShutdown`."""
+        while True:
+            msg = self.comm.recv_reliable(source=0, tag=TAG_CONTROL)
+            if isinstance(msg, FTShutdown):
+                return
+            if msg.generation <= self.min_generation:
+                # Stale control traffic addressed to a previous incarnation
+                # of this rank (the reliable layer may redeliver frames sent
+                # before our predecessor died).  Everything at or before the
+                # rejoin generation is already folded into the matrix we
+                # were seeded with — drop it without replying.
+                continue
+            if isinstance(msg, FTHeader):
+                self.comm.fault_point(msg.generation)
+            yield msg
+
+    def report(self, gen: int, pi_t: float | None, pi_l: float | None) -> None:
+        self.comm.send_reliable(
+            WorkerReport(rank=self.comm.rank, generation=gen, pi_teacher=pi_t, pi_learner=pi_l),
+            dest=0,
+            tag=TAG_REPORT,
+        )
+
+    def final(self, matrix: np.ndarray, games_played: int) -> dict:
+        digest = _replica_digest(matrix)
+        self.comm.send_reliable(
+            FTFinal(rank=self.comm.rank, digest=digest, games_played=games_played),
+            dest=0,
+            tag=TAG_REPORT,
+        )
+        return {"digest": digest, "games_played": games_played}
 
 
 class ParallelSimulation:
@@ -899,21 +863,19 @@ class ParallelSimulation:
     fault_plan:
         Optional :class:`~repro.mpi.faults.FaultPlan` describing the chaos
         to inject (message drops, delays, duplicates, corruptions, rank
-        crashes and hangs).  Implies the fault-tolerant protocol unless
+        crashes and hangs).  Implies the star channel unless
         ``fault_tolerant=False`` is forced.
     fault_tolerant:
-        Force the protocol choice.  ``None`` (default) picks the
-        fault-tolerant star when a fault plan or checkpointing is
-        configured, the classic collective-tree protocol otherwise.
+        Picks the rank program's channel.  ``True`` runs the
+        fault-tolerant star (reliable point-to-point messages and a
+        per-generation heartbeat), ``False`` the paper's collective tree.
+        ``None`` (default) picks the star when a fault plan, checkpointing,
+        respawn or a membership plan is configured, the tree otherwise.
+        The tree has no per-message deadline: ``run(timeout=...)`` bounds a
+        hung run.
     heartbeat_timeout:
         Seconds Nature waits for a worker's per-generation report before
-        declaring the rank failed (fault-tolerant protocol only).
-    fitness_timeout:
-        Seconds Nature waits for a worker's fitness return at a PC event
-        (classic collective-tree protocol only; default 120).  Raise it for
-        legitimately slow workers — large memory-depth tables, eager games,
-        loaded machines; the timeout firing raises
-        :class:`~repro.errors.MPIError` rather than hanging the run.
+        declaring the rank failed (star channel only).
     checkpoint_dir:
         Directory for periodic :func:`~repro.io.checkpoints.save_parallel_checkpoint`
         files; enables restart via :meth:`resume`.
@@ -986,7 +948,6 @@ class ParallelSimulation:
         fault_plan: FaultPlan | None = None,
         fault_tolerant: bool | None = None,
         heartbeat_timeout: float = 5.0,
-        fitness_timeout: float = _DEFAULT_FITNESS_TIMEOUT,
         checkpoint_dir: str | Path | None = None,
         checkpoint_every: int = 0,
         trace: bool | Tracer = False,
@@ -1036,9 +997,6 @@ class ParallelSimulation:
         if heartbeat_timeout <= 0:
             raise MPIError(f"heartbeat_timeout must be > 0, got {heartbeat_timeout}")
         self.heartbeat_timeout = float(heartbeat_timeout)
-        if fitness_timeout <= 0:
-            raise MPIError(f"fitness_timeout must be > 0, got {fitness_timeout}")
-        self.fitness_timeout = float(fitness_timeout)
         self.checkpoint_dir = None if checkpoint_dir is None else str(checkpoint_dir)
         self.checkpoint_every = int(checkpoint_every)
         if trace is True:
@@ -1069,7 +1027,7 @@ class ParallelSimulation:
                 "on_rank_failure='respawn' requires the fault-tolerant protocol"
                 " (replacements rejoin through it); do not force fault_tolerant=False"
             )
-        self._start = _FTOptions(
+        self._start = _StarOptions(
             heartbeat_timeout=self.heartbeat_timeout,
             checkpoint_dir=self.checkpoint_dir,
             checkpoint_every=self.checkpoint_every,
@@ -1103,8 +1061,15 @@ class ParallelSimulation:
         :class:`~repro.io.checkpoints.ParallelCheckpoint`.  The resumed run
         replays the exact trajectory the uninterrupted run would have
         produced, at any rank count.  Keyword arguments are forwarded to the
-        constructor (``eager_games``, ``fault_plan``, ``checkpoint_dir``...).
+        constructor (``eager_games``, ``fault_plan``, ``checkpoint_dir``...);
+        a resumed run always takes the star channel, so ``fault_tolerant``
+        is rejected.
         """
+        if "fault_tolerant" in kwargs:
+            raise MPIError(
+                "a resumed run always uses the fault-tolerant protocol;"
+                " drop fault_tolerant from the arguments"
+            )
         if not isinstance(checkpoint, ParallelCheckpoint):
             path = Path(checkpoint)
             if path.is_dir():
@@ -1114,11 +1079,8 @@ class ParallelSimulation:
                 path = found
             checkpoint = load_parallel_checkpoint(path)
         sim = cls(checkpoint.config, n_ranks, fault_tolerant=True, **kwargs)
-        sim._start = _FTOptions(
-            heartbeat_timeout=sim.heartbeat_timeout,
-            checkpoint_dir=sim.checkpoint_dir,
-            checkpoint_every=sim.checkpoint_every,
-            membership_plan=sim.membership_plan,
+        sim._start = replace(
+            sim._start,
             start_generation=checkpoint.generation,
             start_matrix=checkpoint.matrix,
             start_nature_rng=checkpoint.nature_rng_state,
@@ -1153,40 +1115,14 @@ class ParallelSimulation:
             self.tracer.name_rank(0, "nature (rank 0)")
             for rank in range(1, self.n_ranks):
                 self.tracer.name_rank(rank, f"worker (rank {rank})")
-        if not self.fault_tolerant:
-            spmd = run_spmd(
-                self.n_ranks,
-                _rank_program,
-                args=(self.config, self.eager_games, self.fitness_timeout),
-                timeout=timeout,
-                fault_injector=injector,
-                tracer=self.tracer,
-                backend=self.backend,
-                n_hosts=self.n_hosts,
-                tcp_options=self.tcp_options,
-            )
-            self._finish_trace(spmd)
-            nature_out = spmd.returns[0]
-            return ParallelRunResult(
-                matrix=nature_out["matrix"],
-                generation=self.config.generations,
-                n_pc_events=nature_out["n_pc_events"],
-                n_adoptions=nature_out["n_adoptions"],
-                n_mutations=nature_out["n_mutations"],
-                counters=spmd.world.counters.snapshot(),
-                n_ranks=self.n_ranks,
-                games_played_per_rank=tuple(out["games_played"] for out in spmd.returns),
-                fault_events=() if injector is None else injector.schedule(),
-                trace=self.tracer,
-            )
-
         spmd = run_spmd(
             self.n_ranks,
-            _rank_program_ft,
-            args=(self.config, self.eager_games, self._start),
+            _rank_program,
+            args=(self.config, self.eager_games, self._start if self.fault_tolerant else None),
             timeout=timeout,
             fault_injector=injector,
-            on_rank_failure=self.on_rank_failure,
+            # The tree has no failure handling: any rank death aborts it.
+            on_rank_failure=self.on_rank_failure if self.fault_tolerant else "abort",
             tracer=self.tracer,
             backend=self.backend,
             max_respawns=self.max_respawns,
@@ -1197,7 +1133,9 @@ class ParallelSimulation:
         nature_out = spmd.returns[0]
         if nature_out is None:
             raise MPIError("the Nature rank did not complete; no result to assemble")
-        games_by_rank: dict[int, int] = nature_out["games_by_rank"]
+        # The star's Nature collects every worker's games from its final
+        # report; the tree leaves them in the workers' own returns.
+        games_by_rank: dict[int, int] = nature_out.get("games_by_rank", {})
         # The world may have grown mid-run (membership_plan), so size the
         # per-rank accounting to the final world, not the starting one.
         final_ranks = max(self.n_ranks, len(spmd.returns))
@@ -1216,8 +1154,8 @@ class ParallelSimulation:
             counters=spmd.world.counters.snapshot(),
             n_ranks=self.n_ranks,
             games_played_per_rank=tuple(games),
-            failed_ranks=nature_out["failed_ranks"],
-            degradations=nature_out["degradations"],
+            failed_ranks=nature_out.get("failed_ranks", ()),
+            degradations=nature_out.get("degradations", ()),
             recoveries=nature_out.get("recoveries", ()),
             fault_events=() if injector is None else injector.schedule(),
             checkpoints=nature_out["checkpoints"],

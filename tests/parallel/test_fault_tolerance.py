@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
+from repro.errors import MPIError
 from repro.io.checkpoints import latest_parallel_checkpoint, load_parallel_checkpoint
 from repro.mpi.faults import FaultEvent, FaultPlan
 from repro.parallel.runner import ParallelRunResult, ParallelSimulation
@@ -149,6 +150,16 @@ class TestCheckpointRestart:
         # Resume the *mid-run* checkpoint (gen 30) on a smaller world.
         resumed = ParallelSimulation.resume(result.checkpoints[0], n_ranks=3).run(timeout=300)
         assert np.array_equal(resumed.matrix, serial_matrix)
+
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_resume_rejects_fault_tolerant(self, config, tmp_path, forced):
+        # A resumed run always takes the star; the argument is refused by
+        # name instead of colliding with the one resume passes itself.
+        result = ParallelSimulation(
+            config, n_ranks=3, checkpoint_dir=tmp_path, checkpoint_every=30
+        ).run(timeout=300)
+        with pytest.raises(MPIError, match="fault_tolerant"):
+            ParallelSimulation.resume(result.checkpoints[0], n_ranks=3, fault_tolerant=forced)
 
     def test_checkpoints_recorded_in_result(self, config, tmp_path):
         result = ParallelSimulation(

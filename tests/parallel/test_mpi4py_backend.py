@@ -24,6 +24,26 @@ class TestInterfaceCompatibility:
         assert np.array_equal(res.returns[0]["matrix"], reference.matrix)
         assert res.returns[0]["n_pc_events"] == reference.n_pc_events
 
+    def test_run_on_comm_needs_only_the_commlike_surface(self):
+        """The bridge runs on a communicator with nothing but CommLike's members."""
+
+        class Bare:
+            def __init__(self, comm):
+                self.rank, self.size = comm.rank, comm.size
+                self.send = comm.send
+                self.bcast = comm.bcast
+                self.allgather = comm.allgather
+                self._comm = comm
+
+            def recv(self, source, tag):
+                return self._comm.recv(source=source, tag=tag)
+
+        cfg = SimulationConfig(memory=1, n_ssets=8, generations=50, seed=13, rounds=10)
+        res = run_spmd(3, lambda comm: run_on_comm(Bare(comm), cfg), timeout=60)
+        reference = ParallelSimulation(cfg, n_ranks=3).run()
+        assert np.array_equal(res.returns[0]["matrix"], reference.matrix)
+        assert res.returns[0]["n_pc_events"] == reference.n_pc_events
+
     def test_needs_two_ranks(self):
         cfg = SimulationConfig(memory=1, n_ssets=4, generations=1, seed=0)
         with pytest.raises(MPIError):
