@@ -145,26 +145,42 @@ def _replica_digest(matrix: np.ndarray) -> bytes:
     return h.digest()
 
 
-def _eager_slate(config, population, evaluator, streams, owned, gen) -> int:
-    """Play every owned SSet's full opponent slate (the paper's §IV-D workload)."""
-    games_played = 0
+#: Most matchup lanes one eager ``engine.play`` call carries.  Per-call
+#: overhead dominates narrow calls (over 20x the per-game-round cost at
+#: 63 lanes, memory-6) and the kernel's lane arrays spill cache past ~16k
+#: lanes: the lanes-per-call curve in ``BENCH_engine.json`` bottoms out
+#: here.  The cap also bounds lane memory when ``n_ssets`` is large.
+_EAGER_LANES = 1 << 14
+
+
+def _eager_slate(config, population, evaluator, streams, owned, gen, rank) -> int:
+    """Play every owned SSet's full opponent slate (the paper's §IV-D workload).
+
+    The slates of all ``owned`` SSets are concatenated — ascending SSet,
+    then ascending opponent — and played in as few ``engine.play`` calls as
+    fit: each call carries whole SSets and at most :data:`_EAGER_LANES`
+    lanes (at least one SSet).  Noisy or mixed games draw from one
+    generator, ``streams.fresh("eager", gen, rank)``, shared by that
+    rank-generation's calls in order.  The results are discarded: PC
+    fitness still comes from :class:`FitnessEvaluator`, so neither the
+    stream key nor the chunking can move the trajectory.  Returns the
+    number of games played.
+    """
+    owned = np.asarray(owned, dtype=np.intp)
+    if owned.size == 0:
+        return 0
+    n, per = config.n_ssets, config.opponents_per_sset
     assign = population.assignment()
     tables = population.tables_view()
-    for sset in owned:
-        opponents = np.array(
-            [j for j in range(config.n_ssets) if j != sset or config.include_self_play],
-            dtype=np.intp,
-        )
-        ia = np.full(opponents.size, assign[sset], dtype=np.intp)
-        ib = assign[opponents]
-        rng = (
-            streams.fresh("eager", gen, int(sset))
-            if not config.deterministic_games
-            else None
-        )
-        evaluator.engine.play(tables, ia, ib, rng=rng)
-        games_played += opponents.size
-    return games_played
+    rng = None if config.deterministic_games else streams.fresh("eager", gen, rank)
+    step = max(1, _EAGER_LANES // per)
+    for start in range(0, owned.size, step):
+        chunk = owned[start:start + step]
+        grid = np.broadcast_to(np.arange(n, dtype=np.intp), (chunk.size, n))
+        opponents = grid if config.include_self_play else grid[grid != chunk[:, None]]
+        ia = np.repeat(assign[chunk], per)
+        evaluator.engine.play(tables, ia, assign[opponents.ravel()], rng=rng)
+    return owned.size * per
 
 
 @dataclass(frozen=True)
@@ -310,7 +326,7 @@ def _worker_loop(net, config, eager_games, population, streams) -> dict:
                         )
                         games_played += _eager_slate(
                             config, population, evaluator, streams,
-                            np.flatnonzero(owners == rank), gen,
+                            np.flatnonzero(owners == rank), gen, rank,
                         )
                 pi_t = pi_l = None
                 if msg.has_pc:

@@ -1,9 +1,13 @@
 """Tests for eager (paper-faithful) game execution in the parallel runner."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
+from repro.game.noise import NoiseModel
+from repro.parallel import runner
 from repro.parallel.decomposition import SSetDecomposition
 from repro.parallel.runner import ParallelSimulation
 
@@ -62,6 +66,15 @@ class TestWorkAccounting:
             workload.total_games_per_generation * cfg.generations
         )
 
+    def test_self_play_adds_one_game_per_sset(self):
+        cfg = SimulationConfig(
+            memory=1, n_ssets=7, generations=3, seed=2, rounds=10, include_self_play=True,
+        )
+        eager = ParallelSimulation(cfg, n_ranks=3, eager_games=True).run()
+        decomp = SSetDecomposition(cfg.n_ssets, 3)
+        for rank, games in enumerate(eager.games_played_per_rank):
+            assert games == decomp.ssets_of_rank(rank).size * cfg.n_ssets * cfg.generations
+
 
 class TestEagerStochastic:
     def test_mixed_population_trajectory_still_matches_lazy(self):
@@ -72,3 +85,69 @@ class TestEagerStochastic:
         lazy = ParallelSimulation(cfg, n_ranks=3).run()
         eager = ParallelSimulation(cfg, n_ranks=3, eager_games=True).run()
         assert np.array_equal(lazy.matrix, eager.matrix)
+
+    def test_pure_noisy_trajectory_still_matches_lazy(self):
+        cfg = SimulationConfig(
+            memory=2, n_ssets=9, generations=40, seed=5, rounds=10,
+            noise=NoiseModel(0.05),
+        )
+        lazy = ParallelSimulation(cfg, n_ranks=3).run()
+        eager = ParallelSimulation(cfg, n_ranks=3, eager_games=True).run()
+        assert np.array_equal(lazy.matrix, eager.matrix)
+
+
+class TestIdleWorker:
+    def test_rank_owning_no_sset_plays_nothing(self):
+        cfg = SimulationConfig(memory=1, n_ssets=2, generations=5, seed=7, rounds=10)
+        result = ParallelSimulation(cfg, n_ranks=4, eager_games=True).run()
+        assert result.games_played_per_rank == (0, 5, 5, 0)
+
+
+# Noisy games exercise the shared per-rank-generation stream across chunks.
+CALL_CFG = SimulationConfig(
+    memory=3, n_ssets=12, generations=4, seed=23, rounds=10, noise=NoiseModel(0.02),
+)
+CALL_RANKS = 3
+
+
+def _slate_calls(result) -> dict[tuple[int, int], int]:
+    """(rank, gen) -> ``batch_engine.play`` spans inside that eager ``play`` span."""
+    events = [e for e in result.trace.events() if e.ph == "X"]
+    plays = [e for e in events if e.name == "play"]
+    kernels = [e for e in events if e.name == "batch_engine.play"]
+    return {
+        (p.rank, p.args["gen"]): sum(
+            k.rank == p.rank and p.ts <= k.ts and k.ts + k.dur <= p.ts + p.dur
+            for k in kernels
+        )
+        for p in plays
+    }
+
+
+@pytest.fixture(scope="module")
+def unchunked():
+    return ParallelSimulation(CALL_CFG, n_ranks=CALL_RANKS, eager_games=True, trace=True).run()
+
+
+class TestCallShape:
+    def test_one_kernel_call_per_worker_generation(self, unchunked):
+        calls = _slate_calls(unchunked)
+        workers = range(1, CALL_RANKS)
+        gens = range(1, CALL_CFG.generations + 1)
+        assert set(calls) == {(r, g) for r in workers for g in gens}
+        assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("lanes", [5, 11, 25, 44])
+    def test_chunked_slate_plays_the_same_games(self, unchunked, monkeypatch, lanes):
+        monkeypatch.setattr(runner, "_EAGER_LANES", lanes)
+        chunked = ParallelSimulation(
+            CALL_CFG, n_ranks=CALL_RANKS, eager_games=True, trace=True
+        ).run()
+        assert np.array_equal(chunked.matrix, unchunked.matrix)
+        assert chunked.games_played_per_rank == unchunked.games_played_per_rank
+        per = CALL_CFG.n_ssets - 1
+        per_chunk = max(1, lanes // per)
+        decomp = SSetDecomposition(CALL_CFG.n_ssets, CALL_RANKS)
+        for (rank, _), n_calls in _slate_calls(chunked).items():
+            owned = decomp.ssets_of_rank(rank).size
+            assert n_calls == math.ceil(owned * per / (per_chunk * per))
